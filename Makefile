@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-compare bench-json bench-smoke temper claims update faults loadgen-smoke check
+.PHONY: build vet fmt-check test race bench bench-compare bench-json bench-smoke temper claims update faults loadgen-smoke check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing the
+# offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -30,28 +35,31 @@ bench-compare:
 
 # bench-json runs the hot-path benchmarks — the >64-site ISP100/ISP200
 # energy and annealing benchmarks, the flat update planner (and its retained
-# map-based reference), and the end-to-end ISP200 slot pipeline — and writes
-# the results as a JSON map (name -> ns/op, allocs/op; schema in DESIGN.md
-# §8) so the numbers can be committed and diffed across PRs.
+# map-based reference), the cold ISP200 route-table build and controller
+# setup, and the warm end-to-end ISP200 slot pipeline — and writes the
+# results as a JSON map (name -> ns/op, allocs/op; schema in DESIGN.md §8) so
+# the numbers can be committed and diffed across PRs.
 BENCH_JSON ?= BENCH_PR10.json
 bench-json:
-	sh scripts/benchjson.sh 'BenchmarkAnneal|BenchmarkEnergyISP|BenchmarkProvisionTopology|BenchmarkClaimRepair|BenchmarkUpdatePlan|BenchmarkSimSlot' $(BENCH_JSON) './...'
+	sh scripts/benchjson.sh 'BenchmarkAnneal|BenchmarkEnergyISP|BenchmarkProvisionTopology|BenchmarkClaimRepair|BenchmarkUpdatePlan|BenchmarkRouteTables|BenchmarkColdStart|BenchmarkSimSlot' $(BENCH_JSON) './...'
 
 # bench-smoke compiles and runs every benchmark exactly once — a fast CI
 # guard that the benchmark harness itself keeps working. internal/core
 # carries the scale benchmarks (ISP100/ISP200 energy); the root package
-# carries the annealing-engine ones (AnnealISP100/AnnealISP200) and the
-# ISP200 slot pipeline; internal/update carries the flat planner.
+# carries the annealing-engine ones (AnnealISP100/AnnealISP200), the ISP200
+# cold start and the warm ISP200 slot pipeline; internal/optical carries the
+# route-table build; internal/update carries the flat planner.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/update
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/optical ./internal/update
 
-# claims replays the PR 9 incremental-engine differentials with the test
-# cache defeated: the claim-tree repair store against cold rebuilds, the
-# wavelength-availability index against the from-scratch occupancy scan, and
-# the alternate-tier provision-cache migration against cold provisioning.
+# claims replays the incremental-engine and precomputation differentials
+# with the test cache defeated: the claim-tree repair store against cold
+# rebuilds, the wavelength-availability index against the from-scratch
+# occupancy scan, the alternate-tier provision-cache migration against cold
+# provisioning, and the route tables against the all-pairs Yen reference.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration' \
+		-run 'TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration|TestRouteTablesMatchReference' \
 		./internal/alloc/ ./internal/optical/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test
@@ -93,9 +101,10 @@ faults:
 loadgen-smoke:
 	$(GO) run ./cmd/owan-loadgen -clients 1000 -seed 1 -check -max-p99 20s -quiet
 
-# check is the tier-1 gate: clean build, vet, full tests, race-detected
-# internal tests (including the delta differential harnesses), the
-# tempering golden differential, the flat-planner differential, a one-shot
-# benchmark smoke, the seeded fault-injection matrix, and the admission
-# load-generator smoke.
-check: build vet test race temper claims update bench-smoke faults loadgen-smoke
+# check is the tier-1 gate: clean build, vet, gofmt, full tests,
+# race-detected internal tests (including the delta differential harnesses),
+# the tempering golden differential, the engine and route-table
+# differentials (claims), the flat-planner differential, a one-shot benchmark
+# smoke, the seeded fault-injection matrix, and the admission load-generator
+# smoke.
+check: build vet fmt-check test race temper claims update bench-smoke faults loadgen-smoke

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -145,27 +144,8 @@ func (g *Graph) ShortestPath(src, dst int) *Path {
 // ShortestDistances runs Dijkstra from src and returns the distance to every
 // vertex (Inf for unreachable vertices).
 func (g *Graph) ShortestDistances(src int) []float64 {
-	dist := make([]float64, g.n)
-	seen := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	h := heap{}
-	h.push(item{src, 0})
-	for len(h) > 0 {
-		it := h.pop()
-		if seen[it.v] {
-			continue
-		}
-		seen[it.v] = true
-		for _, e := range g.adj[it.v] {
-			if nd := dist[it.v] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				h.push(item{e.To, nd})
-			}
-		}
-	}
+	var sc Scratch
+	dist, _ := g.ShortestTreeScratch(&sc, src)
 	return dist
 }
 

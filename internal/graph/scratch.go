@@ -188,6 +188,34 @@ func MaskShortestNodeWeightedW(sc *Scratch, reach []uint64, words int, nodeMask 
 // Dijkstra state lives in sc and only the returned *Path (which escapes to
 // the caller) is freshly allocated. Results are identical to ShortestPath.
 func (g *Graph) ShortestPathScratch(sc *Scratch, src, dst int) *Path {
+	g.dijkstra(sc, src, dst)
+	return sc.path(src, dst)
+}
+
+// ShortestTreeScratch runs Dijkstra from src to exhaustion and returns the
+// shortest-path tree: dist[v] is the distance to v (Inf when unreachable)
+// and prev[v] the last edge of the path to v (From -1 for src and for
+// unreachable vertices). Both slices alias sc and are valid until its next
+// use.
+//
+// The predecessor chain to any dst is edge for edge the path
+// ShortestPathScratch(sc, src, dst) returns, with the same distance bits.
+// Both run the same loop, which only stops early in ShortestPathScratch:
+// up to the moment dst is settled the heap sees the same pushes in the same
+// order, and afterwards nothing on the chain can change — dst and every
+// vertex on its chain are already settled, and a later relaxation offers
+// dist[x]+w >= dist[dst] (float addition of a nonnegative weight is
+// monotone), which fails the strict < test.
+func (g *Graph) ShortestTreeScratch(sc *Scratch, src int) (dist []float64, prev []Edge) {
+	g.dijkstra(sc, src, -1)
+	return sc.dist, sc.prev
+}
+
+// dijkstra runs Dijkstra from src over g into sc.dist/sc.prev, stopping as
+// soon as stop is settled (stop < 0 settles every reachable vertex). Ties are
+// broken by insertion order: relaxation is a strict <, and the heap breaks
+// distance ties by array position.
+func (g *Graph) dijkstra(sc *Scratch, src, stop int) {
 	sc.grow(g.n)
 	dist, prev, seen := sc.dist, sc.prev, sc.seen
 	for i := range dist {
@@ -204,7 +232,7 @@ func (g *Graph) ShortestPathScratch(sc *Scratch, src, dst int) *Path {
 			continue
 		}
 		seen[it.v] = true
-		if it.v == dst {
+		if it.v == stop {
 			break
 		}
 		for _, e := range g.adj[it.v] {
@@ -215,15 +243,20 @@ func (g *Graph) ShortestPathScratch(sc *Scratch, src, dst int) *Path {
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
+}
+
+// path extracts the src->dst path from the predecessor edges a Dijkstra run
+// left in sc, or nil when dst was not reached.
+func (sc *Scratch) path(src, dst int) *Path {
+	if math.IsInf(sc.dist[dst], 1) {
 		return nil
 	}
 	var edges []Edge
-	for v := dst; v != src; v = prev[v].From {
-		edges = append(edges, prev[v])
+	for v := dst; v != src; v = sc.prev[v].From {
+		edges = append(edges, sc.prev[v])
 	}
 	reverse(edges)
-	return &Path{Edges: edges, Weight: dist[dst]}
+	return &Path{Edges: edges, Weight: sc.dist[dst]}
 }
 
 // shortestPathFiltered is ShortestPathScratch restricted to the subgraph
@@ -262,15 +295,7 @@ func (g *Graph) shortestPathFiltered(sc *Scratch, src, dst int, removed []bool, 
 			}
 		}
 	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	var edges []Edge
-	for v := dst; v != src; v = prev[v].From {
-		edges = append(edges, prev[v])
-	}
-	reverse(edges)
-	return &Path{Edges: edges, Weight: dist[dst]}
+	return sc.path(src, dst)
 }
 
 func bannedEdge(banned [][3]int, e Edge) bool {

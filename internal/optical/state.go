@@ -261,10 +261,11 @@ type routeTables struct {
 	maskW      int
 }
 
-// The route-table cache: building the tables runs an all-pairs k-shortest-
-// path sweep, which dominates NewState, yet callers routinely rebuild states
-// on the same network (the controller re-provisions every slot; experiments
-// evaluate many algorithms per topology cell). A small LRU keyed by Network
+// The route-table cache: building the tables runs a shortest-path tree per
+// site and Yen's k-shortest paths per in-reach pair, which dominates
+// NewState, yet callers routinely rebuild states on the same network (the
+// controller re-provisions every slot; experiments evaluate many algorithms
+// per topology cell). A small LRU keyed by Network
 // identity makes every rebuild after the first free. The cache is bounded so
 // transient networks (one per figure cell) cannot accumulate; identical
 // results from racing builders make the race benign, so the lock is dropped
@@ -303,6 +304,12 @@ func lookupRouteTables(net *topology.Network) *routeTables {
 	return rt
 }
 
+// buildRouteTables runs one full single-source Dijkstra per site. Its tree
+// gives pairDist and every primary route; Yen's k-shortest paths runs only
+// for the pairs within reach of a regenerator-free segment, the only pairs
+// whose alternates can be kept (DESIGN.md §16). The tables are bit-identical
+// to taking every route from Yen: Yen's first path is ShortestPathScratch,
+// whose path is the tree's predecessor chain (graph.ShortestTreeScratch).
 func buildRouteTables(net *topology.Network) *routeTables {
 	ns := net.NumSites()
 	rt := &routeTables{
@@ -312,30 +319,37 @@ func buildRouteTables(net *topology.Network) *routeTables {
 		pairAlts:   make([][][]fiberRoute, ns),
 		inReach:    make([]bool, ns*ns),
 	}
-	var sc graph.Scratch
+	// An alternate's weight is summed in a different order than the tree's
+	// distance, so it may round below it by a few ulps per hop; the guard
+	// band keeps Yen running for a pair whose primary ends just past reach.
+	yenKm := net.ReachKm * (1 + 1e-9)
+	var tree, sc graph.Scratch
 	for u := 0; u < ns; u++ {
-		rt.pairDist[u] = rt.fiberGraph.ShortestDistances(u)
+		dist, prev := rt.fiberGraph.ShortestTreeScratch(&tree, u)
+		rt.pairDist[u] = append([]float64(nil), dist...)
 		rt.pairPath[u] = make([][]int, ns)
 		rt.pairAlts[u] = make([][]fiberRoute, ns)
 		for v := 0; v < ns; v++ {
-			if u == v || math.IsInf(rt.pairDist[u][v], 1) {
+			if u == v || math.IsInf(dist[v], 1) {
 				continue
 			}
+			rt.pairPath[u][v] = treeRoute(prev, u, v)
+			rt.inReach[u*ns+v] = dist[v] <= net.ReachKm
+			if dist[v] > yenKm {
+				continue
+			}
+			// paths[0] is the primary; alternates are only useful if they
+			// themselves stay within optical reach.
 			paths := rt.fiberGraph.KShortestPathsScratch(&sc, u, v, kFiberPaths)
-			for pi, p := range paths {
-				ids := make([]int, len(p.Edges))
-				for i, e := range p.Edges {
-					ids[i] = e.ID
-				}
-				if pi == 0 {
-					rt.pairPath[u][v] = ids
-				} else if p.Weight <= net.ReachKm {
-					// Alternates are only useful if they themselves stay
-					// within optical reach.
+			for _, p := range paths[1:] {
+				if p.Weight <= net.ReachKm {
+					ids := make([]int, len(p.Edges))
+					for i, e := range p.Edges {
+						ids[i] = e.ID
+					}
 					rt.pairAlts[u][v] = append(rt.pairAlts[u][v], fiberRoute{ids: ids, km: p.Weight})
 				}
 			}
-			rt.inReach[u*ns+v] = rt.pairDist[u][v] <= net.ReachKm && rt.pairPath[u][v] != nil
 		}
 	}
 	rt.maskW = bitset.Words(ns)
@@ -385,6 +399,21 @@ func buildRouteTables(net *topology.Network) *routeTables {
 		}
 	}
 	return rt
+}
+
+// treeRoute returns the fiber IDs of the src->dst path in a shortest-path
+// tree's predecessor edges.
+func treeRoute(prev []graph.Edge, src, dst int) []int {
+	hops := 0
+	for v := dst; v != src; v = prev[v].From {
+		hops++
+	}
+	ids := make([]int, hops)
+	for v := dst; v != src; v = prev[v].From {
+		hops--
+		ids[hops] = prev[v].ID
+	}
+	return ids
 }
 
 // NewState builds an empty optical state for the network.

@@ -18,7 +18,7 @@ set -u
 
 GO=${GO:-go}
 BASE_REF=${1:-HEAD~1}
-BENCH=${2:-'Energy|ProvisionTopology|ProvisionEffective|GreedyAlloc|Greedy|AnnealISP100|AnnealISP200|ClaimRepair|UpdatePlan|SimSlot'}
+BENCH=${2:-'Energy|ProvisionTopology|ProvisionEffective|GreedyAlloc|Greedy|AnnealISP100|AnnealISP200|ClaimRepair|UpdatePlan|RouteTables|ColdStart|SimSlot'}
 COUNT=${COUNT:-6}
 PKGS=${PKGS:-'./...'}
 OLD_OUT=${OLD_OUT:-bench-old.txt}
