@@ -56,10 +56,12 @@ bench-smoke:
 # with the test cache defeated: the claim-tree repair store against cold
 # rebuilds, the wavelength-availability index against the from-scratch
 # occupancy scan, the alternate-tier provision-cache migration against cold
-# provisioning, and the route tables against the all-pairs Yen reference.
+# provisioning, the route tables against the all-pairs Yen reference, and
+# the committed search digests (27 ISP200 slots, tempered and multi-move
+# searches) across worker counts and provision-cache settings.
 claims:
 	$(GO) test -count=1 \
-		-run 'TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration|TestRouteTablesMatchReference' \
+		-run 'TestClaimRepairDifferential|TestClaimReuseMatchesReference|TestLambdaIndexMatchesOccupancy|TestWithoutFiberAlternateCacheMigration|TestRouteTablesMatchReference|TestSearchGolden' \
 		./internal/alloc/ ./internal/optical/ ./internal/core/
 
 # update replays the flat update scheduler's pinning suite with the test
@@ -102,9 +104,8 @@ loadgen-smoke:
 	$(GO) run ./cmd/owan-loadgen -clients 1000 -seed 1 -check -max-p99 20s -quiet
 
 # check is the tier-1 gate: clean build, vet, gofmt, full tests,
-# race-detected internal tests (including the delta differential harnesses),
-# the tempering golden differential, the engine and route-table
-# differentials (claims), the flat-planner differential, a one-shot benchmark
-# smoke, the seeded fault-injection matrix, and the admission load-generator
-# smoke.
+# race-detected internal tests, the tempering golden differential, the
+# engine, route-table and search-digest differentials (claims), the
+# flat-planner differential, a one-shot benchmark smoke, the seeded
+# fault-injection matrix, and the admission load-generator smoke.
 check: build vet fmt-check test race temper claims update bench-smoke faults loadgen-smoke

@@ -219,14 +219,6 @@ type Allocator struct {
 	// differential harnesses read it to prove the paths they force actually
 	// fired. Cumulative across loads.
 	stat engineStats
-
-	// Warm-load state for ThroughputPatched: the (U, V)-sorted enumeration
-	// of the base topology retained by SetBase, so a patched evaluation
-	// merges a few changed pairs instead of re-enumerating and re-sorting
-	// the whole LinkSet.
-	baseLinks []topology.Link
-	baseN     int
-	baseTheta float64
 }
 
 // maxCuts bounds how many failure cuts one run retains; beyond it new
@@ -434,36 +426,6 @@ func (a *Allocator) SetScalarFallback(on bool) { a.forceScalar = on }
 // are bit-identical either way, only wall-clock differs — which is the knob
 // the claim-repair differential suite flips. It takes effect immediately.
 func (a *Allocator) SetClaimReuse(on bool) { a.noClaimReuse = !on }
-
-// SetBase retains the enumeration of a base topology for subsequent
-// ThroughputPatched calls. The LinkSet is only read during this call.
-func (a *Allocator) SetBase(ls *topology.LinkSet, theta float64) {
-	a.baseLinks = ls.AppendLinks(a.baseLinks[:0])
-	a.baseN = ls.N
-	a.baseTheta = theta
-}
-
-// SetBaseLinks is SetBase for callers that already hold the (U, V)-sorted
-// enumeration (the delta evaluator shares one snapshot enumeration across
-// workers; copying a flat slice avoids concurrent map walks).
-func (a *Allocator) SetBaseLinks(n int, links []topology.Link, theta float64) {
-	a.baseLinks = append(a.baseLinks[:0], links...)
-	a.baseN = n
-	a.baseTheta = theta
-}
-
-// ThroughputPatched evaluates the tiered greedy assignment on the base
-// topology registered by SetBase with a small patch applied: patch entries
-// are (U, V)-sorted and carry the NEW circuit count of their pair (0 removes
-// it). The result is bit-identical to Throughput on the patched LinkSet —
-// the merged enumeration is exactly what AppendLinks would produce (see
-// topology.MergePatch) — while skipping the map iteration and sort of a full
-// load. This is the allocation warm path of the annealing delta evaluator.
-func (a *Allocator) ThroughputPatched(patch []topology.Link, demands []Demand) float64 {
-	a.links = topology.MergePatch(a.links[:0], a.baseLinks, patch)
-	a.loadFromLinks(a.baseN, a.baseTheta)
-	return a.runLoaded(demands, true, nil)
-}
 
 // ThroughputLinks is Throughput for callers that already hold the (U, V)-
 // sorted enumeration of the effective topology: identical result, without

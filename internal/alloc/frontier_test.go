@@ -135,33 +135,6 @@ func TestAllocatorQuadMatchesScalar(t *testing.T) {
 	quadStatChecks(t, mask)
 }
 
-// TestThroughputPatchedQuad extends the warm-path differential into the
-// four-word range: ThroughputPatched must equal the reference on the patched
-// topology, and a cold Throughput afterwards must still be exact.
-func TestThroughputPatchedQuad(t *testing.T) {
-	al := NewAllocator()
-	seeds := int64(120)
-	if testing.Short() {
-		seeds = 30
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed + 41000))
-		ls, ds, theta := randomQuadCase(rng)
-		al.SetBase(ls, theta)
-		for trial := 0; trial < 3; trial++ {
-			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
-			want := greedyReference(patched, theta, ds).Throughput
-			if got := al.ThroughputPatched(patch, ds); got != want {
-				t.Fatalf("seed %d trial %d: quad ThroughputPatched %v != reference %v",
-					seed, trial, got, want)
-			}
-		}
-		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
-			t.Fatalf("seed %d: cold Throughput after patches %v != reference %v", seed, got, want)
-		}
-	}
-}
-
 // TestFrontierSparseDenseCrossing pins the bSparse enumeration threshold in
 // resumeStampWd (65–128 sites — the four-word engine has no sparse list to
 // cross). The graphs are dense enough that mid-sweep frontiers exceed bSparse

@@ -88,34 +88,6 @@ func TestAllocatorWideMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestThroughputPatchedWide extends the warm-path differential past 64
-// sites: ThroughputPatched on the multi-word path must equal the reference
-// on the patched topology, and a cold Throughput afterwards must still be
-// exact.
-func TestThroughputPatchedWide(t *testing.T) {
-	al := NewAllocator()
-	seeds := int64(120)
-	if testing.Short() {
-		seeds = 30
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed + 9000))
-		ls, ds, theta := randomWideCase(rng)
-		al.SetBase(ls, theta)
-		for trial := 0; trial < 3; trial++ {
-			patched, patch := randomSwapPatch(rng, ls, 1+rng.Intn(3))
-			want := greedyReference(patched, theta, ds).Throughput
-			if got := al.ThroughputPatched(patch, ds); got != want {
-				t.Fatalf("seed %d trial %d: wide ThroughputPatched %v != reference %v",
-					seed, trial, got, want)
-			}
-		}
-		if got, want := al.Throughput(ls, theta, ds), greedyReference(ls, theta, ds).Throughput; got != want {
-			t.Fatalf("seed %d: cold Throughput after patches %v != reference %v", seed, got, want)
-		}
-	}
-}
-
 // TestAllocatorWideZeroAlloc: the multi-word path must stay allocation-free
 // in steady state, exactly like the single-word path.
 func TestAllocatorWideZeroAlloc(t *testing.T) {

@@ -4,147 +4,100 @@ import (
 	"testing"
 
 	"owan/internal/topology"
+	"owan/internal/transfer"
 )
 
-// TestEnergyCacheCollisionGuard is the regression test for the PR 1 cache's
-// collision hazard: two different topologies whose keys land in the same
-// bucket must never be confused. Real 64-bit FNV collisions are impractical
-// to construct, but the cache API takes the hash as an argument, so the test
-// simulates a collision exactly as one would occur: two distinct link-set
-// keys inserted under one hash value. The full key-byte verification on hit
-// must keep them apart.
-func TestEnergyCacheCollisionGuard(t *testing.T) {
-	a := topology.NewLinkSet(4)
-	a.Add(0, 1, 1)
-	a.Add(2, 3, 1)
-	b := topology.NewLinkSet(4)
-	b.Add(0, 2, 1)
-	b.Add(1, 3, 1)
-	keyA := a.AppendKey(nil)
-	keyB := b.AppendKey(nil)
-	if string(keyA) == string(keyB) {
-		t.Fatal("fixture broken: the two link sets encode identically")
+// memoFixture returns an evaluator begun on the search fixture's demands and
+// a batch of distinct candidates drawn from the initial topology.
+func memoFixture(t *testing.T) (*Owan, *evaluator, []candidate) {
+	t.Helper()
+	net, ts := searchFixture()
+	o := New(Config{Net: net, Policy: transfer.SJF, Seed: 3, MaxChurn: -1})
+	ev := newEvaluator(o)
+	ev.begin(o.demands(ts, 0, 300))
+	s := topology.InitialTopology(net)
+	ev.energyOf(s)
+	var cands []candidate
+	seen := map[string]bool{}
+	for len(cands) < 6 {
+		batch, ok := o.propose(o.rng, s, &chain{s: s}, nil, 1)
+		if !ok {
+			t.Fatal("fixture topology has no neighbor")
+		}
+		if k := batch[0].state().Key(); !seen[k] {
+			seen[k] = true
+			cands = append(cands, batch[0])
+		}
 	}
-
-	c := newEnergyCache(8)
-	const collidingHash = 0xdeadbeef
-	c.put(collidingHash, keyA, 1.5)
-	c.put(collidingHash, keyB, 2.5)
-
-	if e, ok := c.get(collidingHash, keyA); !ok || e != 1.5 {
-		t.Fatalf("colliding key A: got (%v, %v), want (1.5, true)", e, ok)
-	}
-	if e, ok := c.get(collidingHash, keyB); !ok || e != 2.5 {
-		t.Fatalf("colliding key B: got (%v, %v), want (2.5, true)", e, ok)
-	}
-	// A third key sharing the hash but never inserted must miss, not match.
-	other := topology.NewLinkSet(4)
-	other.Add(0, 3, 2)
-	if _, ok := c.get(collidingHash, other.AppendKey(nil)); ok {
-		t.Fatal("uninserted key hit on hash match alone")
-	}
+	return o, ev, cands
 }
 
-// TestEnergyCacheKeyBufferReuse: put must copy the key, because the
-// evaluator reuses its per-candidate key buffers every batch.
+// TestEnergyCacheKeyBufferReuse: the evaluator rewrites its per-candidate key
+// buffers every batch, so the memo must own copies of its keys. After a
+// different batch has overwritten the buffers, the first batch must still be
+// served entirely from the memo with the energies it computed.
 func TestEnergyCacheKeyBufferReuse(t *testing.T) {
-	c := newEnergyCache(8)
-	buf := []byte("topology-one")
-	c.put(7, buf, 1.0)
-	copy(buf, "TOPOLOGY-two") // clobber the caller's buffer
-	if e, ok := c.get(7, []byte("topology-one")); !ok || e != 1.0 {
-		t.Fatalf("entry lost after caller buffer reuse: (%v, %v)", e, ok)
+	o, ev, cands := memoFixture(t)
+	first := append([]float64(nil), ev.energies(cands, nil)...)
+	var other []candidate
+	for len(other) < len(cands) {
+		s := cands[len(other)].state()
+		batch, _ := o.propose(o.rng, s, &chain{s: s}, nil, 1)
+		other = append(other, batch...)
 	}
-	if _, ok := c.get(7, buf); ok {
-		t.Fatal("clobbered buffer contents found in cache")
+	ev.energies(other, nil)
+	hits := ev.hits
+	again := ev.energies(cands, nil)
+	if got := ev.hits - hits; got != len(cands) {
+		t.Fatalf("%d of %d repeated candidates hit the memo", got, len(cands))
 	}
-}
-
-// TestEnergyCacheEviction: LRU eviction must remove entries from both the
-// list and their hash bucket, including when several keys share a bucket.
-func TestEnergyCacheEviction(t *testing.T) {
-	c := newEnergyCache(2)
-	c.put(1, []byte("a"), 1)
-	c.put(1, []byte("b"), 2) // same bucket
-	c.put(2, []byte("c"), 3) // evicts "a" (oldest)
-	if _, ok := c.get(1, []byte("a")); ok {
-		t.Fatal("evicted entry still served")
-	}
-	if e, ok := c.get(1, []byte("b")); !ok || e != 2 {
-		t.Fatalf("surviving bucket-mate lost: (%v, %v)", e, ok)
-	}
-	if e, ok := c.get(2, []byte("c")); !ok || e != 3 {
-		t.Fatalf("newest entry lost: (%v, %v)", e, ok)
-	}
-	if got := bucketLen(c, 1); got != 1 {
-		t.Fatalf("bucket 1 holds %d entries after eviction, want 1", got)
-	}
-	// Refreshing an existing key must not grow the cache or duplicate it.
-	c.put(1, []byte("b"), 20)
-	if e, _ := c.get(1, []byte("b")); e != 20 {
-		t.Fatalf("refresh did not update energy: %v", e)
-	}
-	if c.used != 2 {
-		t.Fatalf("cache holds %d entries after refresh, want 2", c.used)
+	for i := range cands {
+		if again[i] != first[i] {
+			t.Fatalf("candidate %d: memo returned %v, first evaluation %v", i, again[i], first[i])
+		}
 	}
 }
 
-// bucketLen counts the entries chained under one hash bucket.
-func bucketLen(c *energyCache, hash uint64) int {
-	n := 0
-	idx, ok := c.m[hash]
-	if !ok {
-		return 0
-	}
-	for ; idx >= 0; idx = c.entries[idx].bnext {
-		n++
-	}
-	return n
-}
-
-// TestEnergyCacheResetKeepsBuffers: reset must drop every entry but retain
-// the arena slots and their key buffers, so the next slot's fills allocate
-// nothing for keys that fit.
+// TestEnergyCacheResetKeepsBuffers: energies depend on the slot's demands, so
+// begin must drop every memo entry, while the evaluator keeps its key and
+// enumeration buffers for the next search.
 func TestEnergyCacheResetKeepsBuffers(t *testing.T) {
-	c := newEnergyCache(4)
-	c.put(1, []byte("alpha-key"), 1)
-	c.put(2, []byte("beta-key"), 2)
-	kept := cap(c.entries[0].key)
-	c.reset()
-	if c.used != 0 {
-		t.Fatalf("used = %d after reset", c.used)
+	o, ev, cands := memoFixture(t)
+	ev.energies(cands, nil)
+	if len(ev.memo) == 0 {
+		t.Fatal("nothing memoized")
 	}
-	if _, ok := c.get(1, []byte("alpha-key")); ok {
-		t.Fatal("entry survived reset")
+	keyCap := cap(ev.keys[0])
+	other := mkTransfers([3]int{0, 3, 900}, [3]int{2, 5, 4000})
+	demands := o.demands(other, 0, 300)
+	ev.begin(demands)
+	if len(ev.memo) != 0 {
+		t.Fatalf("%d memo entries survived begin", len(ev.memo))
 	}
-	c.put(3, []byte("gamma"), 3)
-	if e, ok := c.get(3, []byte("gamma")); !ok || e != 3 {
-		t.Fatalf("cache unusable after reset: (%v, %v)", e, ok)
+	hits := ev.hits
+	got := ev.energies(cands, nil)
+	if ev.hits != hits {
+		t.Fatal("a candidate hit the memo of the previous search")
 	}
-	if cap(c.entries[0].key) != kept {
-		t.Fatalf("slot 0 key buffer not reused: cap %d, want %d", cap(c.entries[0].key), kept)
+	fresh := New(o.cfg)
+	for i := range cands {
+		if want := fresh.Energy(cands[i].state(), demands); got[i] != want {
+			t.Fatalf("candidate %d: energy %v under the new demands, fresh evaluation %v", i, got[i], want)
+		}
+	}
+	if cap(ev.keys[0]) != keyCap {
+		t.Fatalf("key buffer reallocated across begin: cap %d, was %d", cap(ev.keys[0]), keyCap)
 	}
 }
 
-// TestEnergyCacheSteadyStateAllocs: a warmed-up cache must not allocate per
-// get/put, including through evictions — the fix for the PR 4 regression
-// where every put copied its key to a fresh allocation.
+// TestEnergyCacheSteadyStateAllocs: a batch answered entirely by the memo —
+// merge, key and lookup for every candidate — allocates nothing.
 func TestEnergyCacheSteadyStateAllocs(t *testing.T) {
-	c := newEnergyCache(8)
-	keys := make([][]byte, 32)
-	for i := range keys {
-		keys[i] = []byte{byte(i), 'k', 'e', 'y', byte(i)}
-	}
-	for i, k := range keys { // warm: force evictions so every slot has a buffer
-		c.put(uint64(i%4), k, float64(i))
-	}
-	i := 0
-	if avg := testing.AllocsPerRun(100, func() {
-		k := keys[i%len(keys)]
-		c.get(uint64(i%4), k)
-		c.put(uint64(i%4), k, float64(i))
-		i++
+	_, ev, cands := memoFixture(t)
+	out := ev.energies(cands, nil)
+	if avg := testing.AllocsPerRun(50, func() {
+		out = ev.energies(cands, out)
 	}); avg != 0 {
-		t.Fatalf("cache allocates %.1f per op cycle in steady state, want 0", avg)
+		t.Fatalf("memo-hit batch allocates %.1f objects, want 0", avg)
 	}
 }

@@ -69,9 +69,6 @@ func (c Config) Validate() error {
 	if c.BatchSize < 0 {
 		return fmt.Errorf("core: config: BatchSize must be non-negative, got %d", c.BatchSize)
 	}
-	if c.EnergyCacheSize < 0 {
-		return fmt.Errorf("core: config: EnergyCacheSize must be non-negative, got %d", c.EnergyCacheSize)
-	}
 	if c.Replicas < 0 {
 		return fmt.Errorf("core: config: Replicas must be non-negative (0 = single chain), got %d", c.Replicas)
 	}

@@ -70,9 +70,9 @@ func TestSwapInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestSwapOnceRejectsDegenerate drives swapOnce itself over random
-// multisets: whenever it returns a state, the multiset invariants hold and
-// no self links appear; degenerate inputs yield nil rather than panic.
+// TestSwapOnceRejectsDegenerate drives single-swap neighbor generation over
+// random multisets: whenever it returns a state, the multiset invariants hold
+// and no self links appear; degenerate inputs yield nil rather than panic.
 func TestSwapOnceRejectsDegenerate(t *testing.T) {
 	net := topology.Internet2(8)
 	o := New(Config{Net: net, Policy: transfer.SJF, Seed: 99})
@@ -87,7 +87,7 @@ func TestSwapOnceRejectsDegenerate(t *testing.T) {
 			}
 		}
 		before := s.TotalCircuits()
-		out := o.swapOnce(o.rng, s)
+		out := o.ComputeNeighbor(s)
 		if out == nil {
 			continue
 		}

@@ -71,34 +71,15 @@ type Config struct {
 	// keep the one-candidate-at-a-time chain. BatchSize is part of the
 	// search semantics: changing it changes the trajectory.
 	BatchSize int
-	// EnergyCacheSize bounds the per-search energy memoization cache in
-	// entries (2-circuit swaps frequently revisit topologies while
-	// cooling). 0 disables caching. The cache never changes results —
-	// only whether an energy is recomputed.
-	EnergyCacheSize int
 	// ProvisionCacheSize bounds the controller-lifetime provision memoization
 	// cache in entries: a map from network-layer topologies to their effective
 	// (optically realized) link enumerations. Provisioning is a pure function
 	// of the topology — independent of demands and of prior provisioning — so
-	// unlike the energy cache this one persists across slots, and the
-	// warm-started first evaluation of a slot is typically a hit. 0 selects
-	// DefaultProvisionCache; negative disables the cache. Like the energy
-	// cache it never changes results, only whether a provisioning is
-	// recomputed.
+	// unlike the per-search energy memo this cache persists across slots, and
+	// the warm-started first evaluation of a slot is typically a hit. 0
+	// selects DefaultProvisionCache; negative disables the cache. It never
+	// changes results, only whether a provisioning is recomputed.
 	ProvisionCacheSize int
-	// DeltaEval enables incremental candidate evaluation: per accepted base
-	// topology the optical layer is provisioned once and frozen as a
-	// snapshot, and each candidate (which differs by a few swapped circuits)
-	// is evaluated by releasing/provisioning only the changed links with an
-	// undo journal, feeding a patched warm path in the allocator. Candidates
-	// are generated as move lists and materialized only on acceptance. A
-	// delta whose trust gate fails (scarce wavelengths or regenerators,
-	// alternate routes, wavelength contention with a released fiber) falls
-	// back to the cold path and is counted in SearchStats.DeltaFallbacks.
-	// The trajectory is bit-identical to DeltaEval off: move generation
-	// consumes the RNG draw-for-draw like ComputeNeighbor, and trusted delta
-	// energies equal cold energies exactly (see internal/optical/delta.go).
-	DeltaEval bool
 	// Replicas is the parallel-tempering replica count R: the search runs R
 	// annealing chains at a geometric temperature ladder (rung 0 coldest, at
 	// the normal schedule temperature) and periodically proposes neighbor-rung
@@ -107,8 +88,6 @@ type Config struct {
 	// 0 or 1 selects the single-chain search (today's behavior, exactly).
 	// Replicas is part of the search semantics: the result is a pure function
 	// of (Seed, BatchSize, Replicas), bit-identical at any Workers/GOMAXPROCS.
-	// With Replicas > 1 candidates are evaluated on the classic materialized
-	// path (DeltaEval applies to the single-chain search only).
 	Replicas int
 	// ExchangeInterval is how many candidate batches each replica runs
 	// between exchange attempts; the same interval paces the early-exit
@@ -220,25 +199,13 @@ type SearchStats struct {
 	// returned topology.
 	Churn   int
 	Elapsed time.Duration
-	// CacheHits counts candidate energies served from the memoization
-	// cache; CacheMisses counts full energy evaluations (with the cache
-	// disabled every evaluated candidate is a miss).
-	CacheHits   int
-	CacheMisses int
-	// WorkerEvals[i] is how many energies evaluator worker i computed
-	// (one slot for serial runs). Its spread shows pool utilization.
+	// CacheHits counts candidate energies served from the per-search energy
+	// memo instead of being computed.
+	CacheHits int
+	// WorkerEvals[i] is how many candidate energies evaluator worker i
+	// computed (one slot for serial runs). Its sum is the search's energy
+	// evaluations; its spread shows pool utilization.
 	WorkerEvals []int
-	// DeltaHits counts candidate energies computed on the trusted
-	// incremental path; DeltaFallbacks counts deltas whose trust gate failed
-	// and were recomputed cold. Both stay zero with DeltaEval off.
-	// DeltaHits + DeltaFallbacks == the delta-mode energy evaluations.
-	DeltaHits      int
-	DeltaFallbacks int
-	// SnapshotBuilds counts full base provisions frozen for the delta path
-	// (one per accepted base topology the search evaluated candidates from).
-	// With the persistent evaluator a warm-started slot whose base topology
-	// matches the retained snapshot reports 0 builds.
-	SnapshotBuilds int
 	// ProvisionHits counts cold evaluations whose effective links were served
 	// from the controller-lifetime provision cache; ProvisionMisses counts
 	// the full provisionings that filled it. Both stay zero with the cache
@@ -278,8 +245,8 @@ type NetworkState struct {
 // Owan is the controller core. It is not safe for concurrent use; the
 // controller invokes it once per time slot. The evaluator behind
 // ComputeNetworkState — worker goroutines, per-worker optical and allocator
-// scratch, the delta snapshot, the cache arenas — lives as long as the Owan
-// and is reused across slots; call Close when discarding a controller whose
+// scratch, the energy memo — lives as long as the Owan and is reused across
+// slots; call Close when discarding a controller whose
 // Workers > 1 searches have run, to stop the pool goroutines.
 type Owan struct {
 	cfg Config
@@ -296,27 +263,15 @@ type Owan struct {
 	// The cross-slot differential harness runs both variants on equal seeds
 	// to pin that persistence never changes a trajectory.
 	disablePersist bool
-	// onCacheHit, when set (tests), observes every energy-cache hit with
-	// the candidate topology and the energy the cache returned. Only the
-	// classic (materialized) path invokes it; delta-mode cache activity is
-	// visible through SearchStats instead.
+	// onCacheHit, when set (tests), observes every energy-memo hit with the
+	// candidate topology and the energy the memo returned.
 	onCacheHit func(s *topology.LinkSet, energy float64)
-	// Scratch for delta-mode neighbor generation (see delta.go).
+	// Scratch for neighbor generation (see moves.go).
 	nbAcc    []pairDelta
 	nbPatch  []topology.Link
 	nbMerged []topology.Link
-	// nbLinks is swapOnce's enumeration scratch: one sorted-view copy per
-	// proposal was the other per-candidate allocation next to Clone.
-	nbLinks []topology.Link
-	// lsPool recycles candidate LinkSets through the annealing loop: a
-	// batch's rejected candidates and computeNeighbor's intermediate hops
-	// come back here and the next swapOnce copies over them instead of
-	// allocating a fresh Clone (map, buckets, sorted view) per proposal.
-	// Only pointers whose last reference is provably dropped may enter the
-	// pool; anything that escapes — the returned best state, any replica's
-	// current state — never does. Bounded by the largest batch in flight
-	// (Replicas×BatchSize plus NeighborMoves intermediates).
-	lsPool []*topology.LinkSet
+	nbLinks  []topology.Link
+	nbMoves  []swapMove
 	// Warm-start state: the previous slot's accepted (best) energy and the
 	// temperature its cooling schedule ended at. Recorded by every search
 	// (recording is inert), consumed only when Config.WarmStart is set.
@@ -362,27 +317,20 @@ func (o *Owan) demands(active []*transfer.Transfer, slot int, slotSeconds float6
 
 // Energy computes the total throughput achievable on a candidate topology
 // (Algorithm 3): provision circuits for every link, then greedily assign
-// paths and rates to the ordered demands on the effective topology.
+// paths and rates to the ordered demands on the effective topology. It
+// realizes the topology without materializing circuit records and runs the
+// flat greedy allocator for the throughput alone, so steady-state calls
+// perform near-zero heap allocations.
 func (o *Owan) Energy(s *topology.LinkSet, demands []alloc.Demand) float64 {
-	return energyOn(o.opt, o.al, o.cfg.Net.ThetaGbps, s, demands)
-}
-
-// energyOn is the allocation-free energy evaluation shared by the serial
-// search loop and the parallel evaluator workers: realize the topology
-// without materializing circuit records, then run the flat greedy allocator
-// for the throughput alone. The (opt, al) pair must be exclusively owned by
-// the calling goroutine; both provide reusable scratch, so steady-state
-// evaluations perform near-zero heap allocations.
-func energyOn(opt *optical.State, al *alloc.Allocator, theta float64, s *topology.LinkSet, demands []alloc.Demand) float64 {
-	eff := opt.ProvisionEffectiveEnum(s)
-	return al.ThroughputLinks(s.N, eff, theta, demands)
+	eff := o.opt.ProvisionEffectiveEnum(s)
+	return o.al.ThroughputLinks(s.N, eff, o.cfg.Net.ThetaGbps, demands)
 }
 
 // SetUnitRegenWeights forwards the regenerator-balancing ablation knob to
 // the optical layer. The knob changes what provisioning produces, so every
 // piece of provisioning-derived persistent state is invalidated: the
-// provision cache is cleared and the evaluator (whose retained snapshot and
-// worker clones embed the old weights) is dropped and lazily rebuilt.
+// provision cache is cleared and the evaluator (whose worker clones embed
+// the old weights) is dropped and lazily rebuilt.
 func (o *Owan) SetUnitRegenWeights(on bool) {
 	o.opt.SetUnitRegenWeights(on)
 	if o.ev != nil {
@@ -455,104 +403,16 @@ func (o *Owan) WithoutFiber(fiberID int) *Owan {
 // cfg.NeighborMoves elementary swaps (Algorithm 2): each swap picks two
 // circuits (u,v) and (p,q), removes one unit of capacity from each, and
 // adds (u,p) and (v,q). Per-site port usage is unchanged. nil is returned
-// if the topology has too few circuits to rewire.
+// if the topology has too few circuits to rewire. It draws from the
+// controller's RNG exactly like the search's own candidate generation.
 func (o *Owan) ComputeNeighbor(s *topology.LinkSet) *topology.LinkSet {
-	return o.computeNeighbor(o.rng, s)
-}
-
-// computeNeighbor is ComputeNeighbor drawing from an explicit RNG, so every
-// tempering replica can run its own reproducible chain. The single-chain
-// search passes o.rng and is draw-for-draw the pre-tempering generator.
-func (o *Owan) computeNeighbor(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
-	out := s
-	for m := 0; m < o.cfg.NeighborMoves; m++ {
-		n := o.swapOnce(rng, out)
-		if n == nil {
-			if m > 0 {
-				return out
-			}
-			return nil
-		}
-		if out != s {
-			// Intermediate hop: its content was just copied into n and
-			// nothing else can reference it.
-			o.putLinkSet(out)
-		}
-		out = n
-	}
-	return out
-}
-
-// takeLinkSet returns a mutable copy of src, reusing pooled storage when
-// available. The copy is content-identical to src.Clone(), sorted view
-// included, so pooling never changes a trajectory.
-func (o *Owan) takeLinkSet(src *topology.LinkSet) *topology.LinkSet {
-	if k := len(o.lsPool) - 1; k >= 0 {
-		n := o.lsPool[k]
-		o.lsPool = o.lsPool[:k]
-		n.CopyFrom(src)
-		return n
-	}
-	return src.Clone()
-}
-
-// putLinkSet surrenders a LinkSet to the recycling pool. The caller asserts
-// it holds the last live reference.
-func (o *Owan) putLinkSet(s *topology.LinkSet) {
-	o.lsPool = append(o.lsPool, s)
-}
-
-// swapOnce applies one elementary 2-circuit swap, drawing from rng.
-func (o *Owan) swapOnce(rng *rand.Rand, s *topology.LinkSet) *topology.LinkSet {
-	links := s.AppendLinks(o.nbLinks[:0])
-	o.nbLinks = links
-	if len(links) == 0 || s.TotalCircuits() < 2 {
+	o.nbLinks = s.AppendLinks(o.nbLinks[:0])
+	mv, ok := o.neighborMoves(o.rng, o.nbLinks, s.TotalCircuits(), o.nbMoves[:0])
+	o.nbMoves = mv
+	if !ok {
 		return nil
 	}
-	// Sample circuit instances weighted by multiplicity.
-	sample := func() (int, int) {
-		k := rng.Intn(s.TotalCircuits())
-		for _, l := range links {
-			if k < l.Count {
-				// Random orientation.
-				if rng.Intn(2) == 0 {
-					return l.U, l.V
-				}
-				return l.V, l.U
-			}
-			k -= l.Count
-		}
-		panic("unreachable")
-	}
-	for try := 0; try < 32; try++ {
-		u, v := sample()
-		p, q := sample()
-		// Moving capacity from (u,v)+(p,q) to (u,p)+(v,q).
-		if u == p || v == q {
-			continue
-		}
-		if u == v || p == q {
-			continue
-		}
-		// Reject a no-op (picking the same circuit twice when count==1 is
-		// fine to allow; the result still differs unless identical pairs).
-		// Validation reads the source topology, so rejected tries (up to 31
-		// per swap) never pay for a clone; only a committed swap does.
-		if s.Get(u, v) == 0 || s.Get(p, q) == 0 {
-			continue
-		}
-		// If (u,v) == (p,q) as a link, it must hold at least 2 circuits.
-		if canonEq(u, v, p, q) && s.Get(u, v) < 2 {
-			continue
-		}
-		n := o.takeLinkSet(s)
-		n.Add(u, v, -1)
-		n.Add(p, q, -1)
-		n.Add(u, p, 1)
-		n.Add(v, q, 1)
-		return n
-	}
-	return nil
+	return materializeMoves(s, mv)
 }
 
 func abs(x int) int {
@@ -578,8 +438,8 @@ func canonEq(a, b, c, d int) bool {
 //
 // The search proceeds in batches: per temperature step it generates up to
 // Config.BatchSize candidate neighbors of the current state, evaluates
-// their energies (concurrently when Config.Workers > 1, with memoization
-// when Config.EnergyCacheSize > 0), and then reduces the batch in fixed
+// their energies (concurrently when Config.Workers > 1, memoized per
+// search), and then reduces the batch in fixed
 // generation order with the standard Metropolis acceptance rule. Candidate
 // generation and acceptance share the single seeded RNG on this goroutine,
 // so for a given (Seed, BatchSize) the result is bit-identical regardless
@@ -591,9 +451,8 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	demands := o.demands(active, slot, slotSeconds)
 
 	// The evaluator is controller-lifetime state: created once, then re-armed
-	// per slot by begin(). Its worker pool, per-worker optical and allocator
-	// scratch, delta snapshot and cache arenas all carry over, so a
-	// warm-started slot skips the snapshot rebuild and its first energy is
+	// per slot by begin(). Its worker pool and per-worker optical and
+	// allocator scratch carry over, and a warm-started slot's first energy is
 	// usually a provision-cache hit.
 	ev := o.ev
 	if ev == nil || o.disablePersist {
@@ -607,7 +466,7 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 	ev.begin(demands)
 
 	sCur := current.Clone()
-	eCur := ev.energyFull(&ev.ctx0, sCur)
+	eCur := ev.energyOf(sCur)
 	stats := SearchStats{InitialEnergy: eCur, Replicas: o.cfg.Replicas}
 
 	coldT0 := eCur * o.cfg.InitTempFrac
@@ -646,8 +505,9 @@ func (o *Owan) ComputeNetworkState(current *topology.LinkSet, active []*transfer
 		// expensive) evaluation becomes a hit. plan.Effective is pinned
 		// identical to ProvisionEffective, so the entry equals what the cold
 		// path would have stored.
-		key := sBest.AppendKey(ev.ctx0.keyBuf[:0])
-		ev.ctx0.keyBuf = key
+		ev.merged[0] = sBest.AppendLinks(ev.merged[0][:0])
+		key := topology.AppendKeyFromLinks(ev.keys[0][:0], sBest.N, ev.merged[0])
+		ev.keys[0] = key
 		ev.ctx0.eff = eff.AppendLinks(ev.ctx0.eff[:0])
 		o.provCache.put(topology.KeyHash(key), key, eff.N, ev.ctx0.eff, o.opt.DirectOnly(), o.opt.SegmentOnly())
 	}
@@ -697,30 +557,8 @@ func (o *Owan) warmStartTemp(eCur, coldT0 float64) (float64, bool) {
 // ConvergeWindows consecutive windows.
 func (o *Owan) classicAnneal(ev *evaluator, current, sCur *topology.LinkSet, eCur, T, T0, epsilon float64, deadline time.Time, stats *SearchStats) (*topology.LinkSet, float64, float64) {
 	sBest, eBest := sCur, eCur
-	useDelta := o.cfg.DeltaEval
-	cands := make([]*topology.LinkSet, 0, o.cfg.BatchSize)
-	needEval := make([]bool, 0, o.cfg.BatchSize)
+	cur := &chain{s: sCur}
 	var energies []float64
-	// Delta-mode candidate state: candidates exist as move lists until
-	// accepted (movesBuf reuses per-slot buffers across batches; mats holds
-	// this batch's lazily materialized topologies). linksCur/totalCur/
-	// churnCur cache the enumeration, circuit count and churn of sCur, and
-	// baseSeq counts sCur replacements so the evaluator knows when to
-	// rebuild its snapshot (pointer identity is unreliable once old bases
-	// are garbage).
-	var (
-		movesBuf [][]swapMove
-		mats     []*topology.LinkSet
-		linksCur []topology.Link
-		curValid bool
-		totalCur int
-		churnCur int
-		baseSeq  int
-	)
-	if useDelta {
-		movesBuf = make([][]swapMove, o.cfg.BatchSize)
-		mats = make([]*topology.LinkSet, o.cfg.BatchSize)
-	}
 	// Early-exit convergence windows, only on slots that actually
 	// warm-started: a cold slot (including every first slot, and every slot
 	// with WarmStart off) runs draw-for-draw the pre-tempering schedule.
@@ -743,112 +581,41 @@ func (o *Owan) classicAnneal(ev *evaluator, current, sCur *topology.LinkSet, eCu
 			break
 		}
 
-		// Generate the batch. Every candidate derives from the same sCur;
-		// candidates outside the churn trust region around the slot's
+		// Generate the batch. Every candidate derives from the same current
+		// state; candidates outside the churn trust region around the slot's
 		// starting topology are rejected without an energy evaluation (the
 		// move would not be deployable as an incremental update) but still
 		// consume an iteration and a cooling step, exactly like the serial
-		// chain. In delta mode a candidate is its move list and the churn
-		// bound is applied incrementally over the touched pairs; both paths
-		// draw from the RNG identically, so the trajectories coincide.
-		k := o.cfg.BatchSize
-		if rem := o.cfg.MaxIterations - stats.Iterations; k > rem {
-			k = rem
+		// chain.
+		k := min(o.cfg.BatchSize, o.cfg.MaxIterations-stats.Iterations)
+		cands, ok := o.propose(o.rng, current, cur, ev.cands[:0], k)
+		ev.cands = cands
+		stop = !ok
+		if len(cands) == 0 {
+			break
 		}
-		nCand := 0
-		cands = cands[:0]
-		needEval = needEval[:0]
-		if useDelta {
-			if !curValid {
-				linksCur = sCur.AppendLinks(linksCur[:0])
-				totalCur = sCur.TotalCircuits()
-				if o.cfg.MaxChurn > 0 {
-					churnCur = current.Diff(sCur)
-				}
-				curValid = true
-			}
-			for nCand < k {
-				mv, ok := o.neighborMoves(sCur, linksCur, totalCur, movesBuf[nCand][:0])
-				movesBuf[nCand] = mv
-				if !ok {
-					stop = true
-					break
-				}
-				ne := true
-				if o.cfg.MaxChurn > 0 {
-					churnN := churnCur
-					o.nbAcc = accumMoves(mv, o.nbAcc[:0])
-					for _, pd := range o.nbAcc {
-						cur := current.Get(pd.u, pd.v)
-						b := sCur.Get(pd.u, pd.v)
-						churnN += abs(cur-b-pd.d) - abs(cur-b)
-					}
-					ne = churnN <= o.cfg.MaxChurn
-				}
-				needEval = append(needEval, ne)
-				nCand++
-			}
-			if nCand == 0 {
-				break
-			}
-			energies = ev.energiesDelta(sCur, linksCur, baseSeq, movesBuf[:nCand], needEval, energies)
-		} else {
-			for len(cands) < k {
-				sN := o.ComputeNeighbor(sCur)
-				if sN == nil {
-					stop = true
-					break
-				}
-				cands = append(cands, sN)
-				needEval = append(needEval, !(o.cfg.MaxChurn > 0 && current.Diff(sN) > o.cfg.MaxChurn))
-			}
-			if len(cands) == 0 {
-				break
-			}
-			energies = ev.energies(cands, needEval, energies)
-		}
+		energies = ev.energies(cands, energies)
 
 		// Deterministic reduction: walk the batch in generation order,
 		// applying acceptance against the evolving current state. An
-		// accepted candidate replaces sCur for the rest of the batch even
-		// though later candidates were generated from the older state —
+		// accepted candidate replaces the current state for the rest of the
+		// batch even though later candidates were drawn from the older one —
 		// they are complete topologies, so adopting them stays valid.
-		// Delta-mode candidates materialize here, only when they become the
-		// best or the current state (best and accept share the clone).
-		batchBase := sCur
-		for i := range needEval {
+		for i := range cands {
 			stats.Iterations++
-			if !needEval[i] {
+			cd := &cands[i]
+			if !cd.eval {
 				T *= o.cfg.Alpha
 				continue
 			}
 			eN := energies[i]
-			var sN *topology.LinkSet
-			if !useDelta {
-				sN = cands[i]
-			}
 			if eN > eBest {
-				if useDelta {
-					if mats[i] == nil {
-						mats[i] = materializeMoves(batchBase, movesBuf[i])
-					}
-					sN = mats[i]
-				}
-				sBest, eBest = sN, eN
+				sBest, eBest = cd.state(), eN
 			}
 			if accept(eCur, eN, T, o.rng) {
-				if useDelta && sN == nil {
-					if mats[i] == nil {
-						mats[i] = materializeMoves(batchBase, movesBuf[i])
-					}
-					sN = mats[i]
-				}
-				sCur, eCur = sN, eN
+				cur.set(cd.state())
+				eCur = eN
 				stats.Accepted++
-				if useDelta {
-					curValid = false
-					baseSeq++
-				}
 			}
 			T *= o.cfg.Alpha
 			if T <= epsilon {
@@ -857,18 +624,6 @@ func (o *Owan) classicAnneal(ev *evaluator, current, sCur *topology.LinkSet, eCu
 					break
 				}
 				T = T0
-			}
-		}
-		for i := 0; i < nCand; i++ {
-			mats[i] = nil
-		}
-		if !useDelta {
-			// Recycle the batch: every candidate the reduction did not
-			// retain as the current or best state is dead.
-			for _, c := range cands {
-				if c != sCur && c != sBest {
-					o.putLinkSet(c)
-				}
 			}
 		}
 		batches++

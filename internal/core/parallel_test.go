@@ -30,7 +30,8 @@ func runSearch(net *topology.Network, ts []*transfer.Transfer, cfg Config) *Netw
 // TestGoldenDeterminism is the determinism contract: for a fixed
 // (Seed, BatchSize) the search result is bit-identical across repeated
 // runs, across worker counts (serial vs parallel evaluation), and across
-// cache configurations. Only Seed and BatchSize may change the trajectory.
+// provision-cache configurations. Only Seed and BatchSize may change the
+// trajectory.
 func TestGoldenDeterminism(t *testing.T) {
 	net, ts := searchFixture()
 	base := Config{Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 1}
@@ -41,13 +42,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 
 	variants := map[string]Config{
-		"rerun":           base,
-		"parallel-2":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 2},
-		"parallel-8":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8},
-		"parallel-cached": {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8, EnergyCacheSize: 512},
-		"serial-cached":   {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 1, EnergyCacheSize: 512},
-		"oversized-pool":  {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 16},
-		"tiny-cache":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 4, EnergyCacheSize: 2},
+		"rerun":             base,
+		"parallel-2":        {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 2},
+		"parallel-8":        {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8},
+		"parallel-uncached": {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 8, ProvisionCacheSize: -1},
+		"serial-uncached":   {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 1, ProvisionCacheSize: -1},
+		"oversized-pool":    {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 16},
+		"tiny-cache":        {Seed: 42, MaxIterations: 240, BatchSize: 4, Workers: 4, ProvisionCacheSize: 2},
 	}
 	for name, cfg := range variants {
 		got := runSearch(net, ts, cfg)
@@ -75,19 +76,19 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestEnergyCacheCorrectness records every cache hit during a search and
-// recomputes the energy from scratch on a fresh optical.State, asserting
+// TestEnergyCacheCorrectness records every energy-memo hit during a search
+// and recomputes the energy from scratch on a fresh optical.State, asserting
 // exact equality. This guards against stale-state bugs in worker-pool
 // State reuse: a worker whose Reset missed occupancy would poison the
-// cache with energies that a clean evaluation cannot reproduce.
+// memo with energies that a clean evaluation cannot reproduce.
 func TestEnergyCacheCorrectness(t *testing.T) {
-	// The 4-site square revisits topologies constantly, so the cache gets
+	// The 4-site square revisits topologies constantly, so the memo gets
 	// real hits within a few hundred iterations.
 	net := topology.Square()
 	ts := mkTransfers([3]int{0, 1, 2000}, [3]int{2, 3, 2000}, [3]int{0, 2, 900})
 	cfg := Config{
 		Net: net, Policy: transfer.SJF, Seed: 7,
-		MaxIterations: 400, BatchSize: 4, Workers: 4, EnergyCacheSize: 128,
+		MaxIterations: 400, BatchSize: 4, Workers: 4,
 	}
 	o := New(cfg)
 
@@ -119,41 +120,39 @@ func TestEnergyCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestSearchCounters validates the bookkeeping the engine exports: every
-// evaluated candidate is either a cache hit or a miss, every miss is one
-// worker evaluation, and the pool reports one slot per worker.
+// TestSearchCounters validates the bookkeeping the engine exports: the pool
+// reports one slot per worker, and every evaluated candidate is either an
+// energy-memo hit or one worker evaluation.
 func TestSearchCounters(t *testing.T) {
 	net, ts := searchFixture()
 	for _, cfg := range []Config{
 		{Seed: 5, MaxIterations: 150, Workers: 1},
 		{Seed: 5, MaxIterations: 150, Workers: 4, BatchSize: 4},
-		{Seed: 5, MaxIterations: 150, Workers: 4, BatchSize: 4, EnergyCacheSize: 64},
-		{Seed: 5, MaxIterations: 150, Workers: 1, EnergyCacheSize: 64},
+		{Seed: 5, MaxIterations: 150, Workers: 4, BatchSize: 4, MaxChurn: -1},
+		{Seed: 5, MaxIterations: 150, Workers: 1, MaxChurn: -1},
 	} {
-		name := fmt.Sprintf("w%d-b%d-c%d", cfg.Workers, cfg.BatchSize, cfg.EnergyCacheSize)
+		name := fmt.Sprintf("w%d-b%d-churn%d", cfg.Workers, cfg.BatchSize, cfg.MaxChurn)
 		st := runSearch(net, ts, cfg)
-		wantSlots := cfg.Workers
-		if wantSlots < 1 {
-			wantSlots = 1
+		if len(st.Stats.WorkerEvals) != cfg.Workers {
+			t.Errorf("%s: %d worker slots, want %d", name, len(st.Stats.WorkerEvals), cfg.Workers)
 		}
-		if len(st.Stats.WorkerEvals) != wantSlots {
-			t.Errorf("%s: %d worker slots, want %d", name, len(st.Stats.WorkerEvals), wantSlots)
-		}
-		sum := 0
+		evals := 0
 		for _, e := range st.Stats.WorkerEvals {
-			sum += e
+			evals += e
 		}
-		if sum != st.Stats.CacheMisses {
-			t.Errorf("%s: worker evals sum %d != cache misses %d", name, sum, st.Stats.CacheMisses)
-		}
-		if st.Stats.CacheMisses == 0 {
+		if evals == 0 {
 			t.Errorf("%s: no energy evaluations recorded", name)
 		}
-		if cfg.EnergyCacheSize == 0 && st.Stats.CacheHits != 0 {
-			t.Errorf("%s: cache disabled but %d hits reported", name, st.Stats.CacheHits)
-		}
-		if lookups := st.Stats.CacheHits + st.Stats.CacheMisses; lookups > st.Stats.Iterations {
+		lookups := st.Stats.CacheHits + evals
+		if lookups > st.Stats.Iterations {
 			t.Errorf("%s: %d lookups exceed %d iterations", name, lookups, st.Stats.Iterations)
+		}
+		if cfg.MaxChurn < 0 && lookups != st.Stats.Iterations {
+			t.Errorf("%s: unbounded churn evaluates every candidate, but %d lookups != %d iterations",
+				name, lookups, st.Stats.Iterations)
+		}
+		if p := st.Stats.ProvisionHits + st.Stats.ProvisionMisses; p != evals+1 {
+			t.Errorf("%s: %d provision lookups for %d evaluations plus the initial state", name, p, evals)
 		}
 	}
 }

@@ -18,8 +18,7 @@ func disablePersistence(o *Owan) {
 	o.provCache = nil
 }
 
-// persistNets mixes the small comfortable networks of the delta harness with
-// a >64-site ISP so the cross-slot contract is also pinned on the multi-word
+// persistNets mixes small comfortable networks with a >64-site ISP so the cross-slot contract is also pinned on the multi-word
 // mask paths.
 func persistNets() []*topology.Network {
 	return []*topology.Network{
@@ -34,8 +33,8 @@ func persistNets() []*topology.Network {
 
 // TestPersistentEvaluatorMatchesFresh is the cross-slot differential for the
 // persistent evaluator and provision cache: across 300 randomized seeds, a
-// controller that keeps its evaluator (worker pool, delta snapshot, provision
-// LRU) across slots must produce bit-identical per-slot results to one that
+// controller that keeps its evaluator (worker pool, scratch, provision LRU)
+// across slots must produce bit-identical per-slot results to one that
 // rebuilds everything each slot — including across a WithoutFiber failure
 // event, after which both continue on fresh controllers for the smaller
 // network. The persistent side must also actually hit its provision cache
@@ -46,7 +45,7 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	totalProvHits, totalWarmSlots := 0, 0
+	totalProvHits := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(11000 + seed))
 		net := nets[int(seed)%len(nets)]
@@ -61,10 +60,6 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			MaxIterations: iters,
 			BatchSize:     1 + rng.Intn(4),
 			Workers:       []int{1, 1, 4}[rng.Intn(3)],
-			DeltaEval:     rng.Intn(2) == 0,
-		}
-		if rng.Intn(3) == 0 {
-			cfg.EnergyCacheSize = 64
 		}
 
 		pers := New(cfg)
@@ -95,16 +90,13 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 			}
 			ref := fresh.ComputeNetworkState(curF, ts, slot, 300)
 			got := pers.ComputeNetworkState(curP, ts, slot, 300)
-			name := fmt.Sprintf("seed %d slot %d net %s w%d b%d delta=%v",
-				seed, slot, net.Name, cfg.Workers, cfg.BatchSize, cfg.DeltaEval)
+			name := fmt.Sprintf("seed %d slot %d net %s w%d b%d",
+				seed, slot, net.Name, cfg.Workers, cfg.BatchSize)
 			sameSearch(t, name, ref, got)
 			if ref.Stats.ProvisionHits != 0 || ref.Stats.ProvisionMisses != 0 {
 				t.Fatalf("%s: provision counters nonzero with persistence off: %+v", name, ref.Stats)
 			}
 			totalProvHits += got.Stats.ProvisionHits
-			if slot > 0 && got.Stats.SnapshotBuilds < ref.Stats.SnapshotBuilds {
-				totalWarmSlots++ // retained snapshot saved a rebuild
-			}
 			curP, curF = got.Topology, ref.Topology
 		}
 		pers.Close()
@@ -113,30 +105,5 @@ func TestPersistentEvaluatorMatchesFresh(t *testing.T) {
 	if totalProvHits == 0 {
 		t.Fatal("no provision-cache hits across the run — the persistent cache never fired")
 	}
-	t.Logf("provision hits=%d, slots with a saved snapshot build=%d", totalProvHits, totalWarmSlots)
-}
-
-// TestPersistentSnapshotReuse pins the warm-start fast path directly: when a
-// slot starts from exactly the topology whose snapshot the evaluator retained,
-// the delta search must not rebuild it, and the slot's first energy must be a
-// provision-cache hit (seeded by the previous slot's final plan).
-func TestPersistentSnapshotReuse(t *testing.T) {
-	net, ts := searchFixture()
-	o := New(Config{Net: net, Seed: 3, MaxIterations: 120, BatchSize: 2, DeltaEval: true})
-	defer o.Close()
-	cur := topology.InitialTopology(net)
-	first := o.ComputeNetworkState(cur, ts, 0, 300)
-	if first.Stats.SnapshotBuilds == 0 {
-		t.Fatalf("cold slot built no snapshot: %+v", first.Stats)
-	}
-	// Same demands, warm start from the slot's own output: the first base is
-	// the retained snapshot whenever the search ended on its last accepted
-	// state; regardless, the initial energy must hit the seeded cache.
-	second := o.ComputeNetworkState(first.Topology, ts, 1, 300)
-	if second.Stats.ProvisionHits == 0 {
-		t.Fatalf("warm slot had no provision hits: %+v", second.Stats)
-	}
-	if second.Stats.Iterations <= 0 {
-		t.Fatalf("degenerate warm slot: %+v", second.Stats)
-	}
+	t.Logf("provision hits=%d", totalProvHits)
 }

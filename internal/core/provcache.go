@@ -17,10 +17,9 @@ import (
 // is slot N's output, so the first (and most expensive, cold) energy of
 // every slot is a near-guaranteed hit.
 //
-// Structurally it is the same arena LRU as energyCache — index-linked
-// entries, retained key and link buffers, full key verification on hit — but
-// mutex-guarded: evaluator workers consult it concurrently on their cold
-// fallback paths. get copies the links out under the lock, so an eviction
+// It is an arena LRU — index-linked entries, retained key and link buffers,
+// full key verification on hit — guarded by a mutex: evaluator workers
+// consult it concurrently. get copies the links out under the lock, so an eviction
 // racing a hit can never hand a caller a recycled buffer.
 //
 // The cache is invalidated by dropping it: a controller for a different

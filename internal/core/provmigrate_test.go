@@ -60,7 +60,7 @@ func TestWithoutFiberCacheMigration(t *testing.T) {
 			links := eff.AppendLinks(nil)
 			key := s.AppendKey(nil)
 			o.provCache.put(topology.KeyHash(key), key, eff.N, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
-			s = o.computeNeighbor(rng, s)
+			s = refNeighbor(rng, s, o.cfg.NeighborMoves)
 		}
 		directEntries := 0
 		for i := 0; i < o.provCache.used; i++ {
@@ -180,7 +180,7 @@ func TestWithoutFiberAlternateCacheMigration(t *testing.T) {
 			links := eff.AppendLinks(nil)
 			key := s.AppendKey(nil)
 			o.provCache.put(topology.KeyHash(key), key, eff.N, links, o.opt.DirectOnly(), o.opt.SegmentOnly())
-			s = o.computeNeighbor(rng, s)
+			s = refNeighbor(rng, s, o.cfg.NeighborMoves)
 		}
 		segEntries := 0
 		for i := 0; i < o.provCache.used; i++ {

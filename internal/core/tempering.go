@@ -24,15 +24,15 @@ import (
 // order; exchange decisions draw from a separate RNG derived the same way.
 // Workers only ever compute energies — pure functions of (topology,
 // demands) — so Workers/GOMAXPROCS change wall-clock time, never the
-// result. Candidates are evaluated on the classic materialized path
-// (ev.energies); the energy and provision caches apply as usual since both
+// result. Candidates are move lists against their replica's current state,
+// evaluated like the single chain's; the energy memo and the provision cache
 // are keyed by topology alone, which is replica-agnostic.
 
 // temperReplica is one tempering chain: its RNG, its current state, its
 // rung's cooling schedule, and how many iterations it has run.
 type temperReplica struct {
 	rng   *rand.Rand
-	sCur  *topology.LinkSet
+	cur   *chain
 	eCur  float64
 	T, T0 float64
 	iters int
@@ -67,7 +67,7 @@ func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, e
 		scale := math.Pow(temperLadderStep, float64(r))
 		reps[r] = &temperReplica{
 			rng:  rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, r))),
-			sCur: sInit,
+			cur:  &chain{s: sInit},
 			eCur: eInit,
 			T:    T * scale,
 			T0:   T0 * scale,
@@ -76,8 +76,6 @@ func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, e
 	exRng := rand.New(rand.NewSource(mixSeed(o.cfg.Seed, o.slotSeq, -1)))
 	sBest, eBest := sInit, eInit
 
-	cands := make([]*topology.LinkSet, 0, R*o.cfg.BatchSize)
-	needEval := make([]bool, 0, R*o.cfg.BatchSize)
 	counts := make([]int, R)
 	var energies []float64
 	rounds, streak := 0, 0
@@ -107,30 +105,23 @@ func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, e
 		// R×BatchSize energies over the worker pool. The churn trust region
 		// is measured against the slot's starting topology exactly as in the
 		// single-chain loop.
-		cands, needEval = cands[:0], needEval[:0]
+		cands := ev.cands[:0]
 		exhausted := false
 		for r, rep := range reps {
-			k := o.cfg.BatchSize
-			if rem := o.cfg.MaxIterations - rep.iters; k > rem {
-				k = rem
+			k := min(o.cfg.BatchSize, o.cfg.MaxIterations-rep.iters)
+			n := len(cands)
+			var ok bool
+			cands, ok = o.propose(rep.rng, current, rep.cur, cands, k)
+			if !ok {
+				exhausted = true
 			}
-			n := 0
-			for n < k {
-				sN := o.computeNeighbor(rep.rng, rep.sCur)
-				if sN == nil {
-					exhausted = true
-					break
-				}
-				cands = append(cands, sN)
-				needEval = append(needEval, !(o.cfg.MaxChurn > 0 && current.Diff(sN) > o.cfg.MaxChurn))
-				n++
-			}
-			counts[r] = n
+			counts[r] = len(cands) - n
 		}
+		ev.cands = cands
 		if len(cands) == 0 {
 			break
 		}
-		energies = ev.energies(cands, needEval, energies)
+		energies = ev.energies(cands, energies)
 
 		// Reduce each rung's slice of the batch in rung order with its own
 		// RNG — the same in-order Metropolis walk as the single chain, with
@@ -140,40 +131,23 @@ func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, e
 			for i := off; i < off+counts[r]; i++ {
 				rep.iters++
 				stats.Iterations++
-				if !needEval[i] {
+				cd := &cands[i]
+				if !cd.eval {
 					rep.T *= o.cfg.Alpha
 					continue
 				}
 				eN := energies[i]
 				if eN > eBest {
-					sBest, eBest = cands[i], eN
+					sBest, eBest = cd.state(), eN
 				}
 				if accept(rep.eCur, eN, rep.T, rep.rng) {
-					rep.sCur, rep.eCur = cands[i], eN
+					rep.cur.set(cd.state())
+					rep.eCur = eN
 					stats.Accepted++
 				}
 				rep.T *= o.cfg.Alpha
 			}
 			off += counts[r]
-		}
-		// Recycle the round's dead candidates: anything no replica holds as
-		// its current state and that is not the running best has dropped its
-		// last reference. (Exchanges below only swap pointers already held
-		// by replicas, so this accounting stays exact across sweeps.)
-		for _, c := range cands {
-			if c == sBest {
-				continue
-			}
-			retained := false
-			for _, rep := range reps {
-				if rep.sCur == c {
-					retained = true
-					break
-				}
-			}
-			if !retained {
-				o.putLinkSet(c)
-			}
 		}
 		if exhausted {
 			stop = true
@@ -196,7 +170,7 @@ func (o *Owan) temperedAnneal(ev *evaluator, current, sInit *topology.LinkSet, e
 				dBeta := 1/a.T - 1/b.T
 				p := math.Exp(dBeta * (b.eCur - a.eCur))
 				if exRng.Float64() < p {
-					a.sCur, b.sCur = b.sCur, a.sCur
+					a.cur, b.cur = b.cur, a.cur
 					a.eCur, b.eCur = b.eCur, a.eCur
 					stats.Exchanges++
 				}

@@ -32,11 +32,11 @@ func TestTemperedGoldenDeterminism(t *testing.T) {
 	}
 
 	variants := map[string]Config{
-		"rerun":           base,
-		"parallel-4":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4},
-		"gomaxprocs":      {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: runtime.GOMAXPROCS(0)},
-		"parallel-cached": {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4, EnergyCacheSize: 512},
-		"oversized-pool":  {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 16},
+		"rerun":          base,
+		"parallel-4":     {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4},
+		"gomaxprocs":     {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: runtime.GOMAXPROCS(0)},
+		"provision-off":  {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 4, ProvisionCacheSize: -1},
+		"oversized-pool": {Seed: 42, MaxIterations: 240, BatchSize: 4, Replicas: 4, Workers: 16},
 	}
 	for name, cfg := range variants {
 		got := runSearch(net, ts, cfg)

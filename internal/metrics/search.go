@@ -3,15 +3,15 @@ package metrics
 import "math"
 
 // SearchEfficiency summarizes the annealing engine's evaluation counters:
-// how much of the work the memoization cache absorbed and how evenly the
-// energy evaluations spread over the worker pool. internal/core reports the
+// how much of the work the per-search energy memo absorbed and how evenly
+// the energy evaluations spread over the worker pool. internal/core reports the
 // raw counters in its SearchStats; this helper turns them into the ratios
 // the controller logs and the bench harness aggregates.
 type SearchEfficiency struct {
-	// Evaluations is the number of full energy computations (cache misses).
+	// Evaluations is the number of energy computations (memo misses).
 	Evaluations int
-	// HitRate is cache hits over all energy lookups, in [0,1]; 0 when the
-	// cache is disabled or nothing was looked up.
+	// HitRate is memo hits over all energy lookups, in [0,1]; 0 when
+	// nothing was looked up.
 	HitRate float64
 	// WorkerBalance is mean/max evaluations across workers, in (0,1]:
 	// 1 means a perfectly even pool, values near 1/N mean one worker did
@@ -19,19 +19,20 @@ type SearchEfficiency struct {
 	WorkerBalance float64
 }
 
-// ComputeSearchEfficiency derives the ratios from raw counters. workerEvals
-// holds per-worker evaluation counts (one slot for a serial run).
-func ComputeSearchEfficiency(cacheHits, cacheMisses int, workerEvals []int) SearchEfficiency {
-	eff := SearchEfficiency{Evaluations: cacheMisses}
-	if total := cacheHits + cacheMisses; total > 0 {
-		eff.HitRate = float64(cacheHits) / float64(total)
-	}
+// ComputeSearchEfficiency derives the ratios from raw counters: the memo
+// hits and the per-worker evaluation counts (one slot for a serial run),
+// whose sum is the memo misses.
+func ComputeSearchEfficiency(memoHits int, workerEvals []int) SearchEfficiency {
 	sum, max := 0, 0
 	for _, e := range workerEvals {
 		sum += e
 		if e > max {
 			max = e
 		}
+	}
+	eff := SearchEfficiency{Evaluations: sum}
+	if total := memoHits + sum; total > 0 {
+		eff.HitRate = float64(memoHits) / float64(total)
 	}
 	if max > 0 {
 		mean := float64(sum) / float64(len(workerEvals))

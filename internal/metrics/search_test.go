@@ -9,20 +9,20 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
 func TestComputeSearchEfficiency(t *testing.T) {
 	cases := []struct {
-		name         string
-		hits, misses int
-		evals        []int
-		want         SearchEfficiency
+		name  string
+		hits  int
+		evals []int
+		want  SearchEfficiency
 	}{
-		{"empty", 0, 0, nil, SearchEfficiency{}},
-		{"serial-no-cache", 0, 10, []int{10}, SearchEfficiency{Evaluations: 10, HitRate: 0, WorkerBalance: 1}},
-		{"half-hits", 5, 5, []int{5}, SearchEfficiency{Evaluations: 5, HitRate: 0.5, WorkerBalance: 1}},
-		{"balanced-pool", 0, 8, []int{2, 2, 2, 2}, SearchEfficiency{Evaluations: 8, HitRate: 0, WorkerBalance: 1}},
-		{"skewed-pool", 0, 4, []int{4, 0, 0, 0}, SearchEfficiency{Evaluations: 4, HitRate: 0, WorkerBalance: 0.25}},
-		{"all-hits", 7, 0, []int{0}, SearchEfficiency{Evaluations: 0, HitRate: 1, WorkerBalance: 0}},
+		{"empty", 0, nil, SearchEfficiency{}},
+		{"serial-no-hits", 0, []int{10}, SearchEfficiency{Evaluations: 10, HitRate: 0, WorkerBalance: 1}},
+		{"half-hits", 5, []int{5}, SearchEfficiency{Evaluations: 5, HitRate: 0.5, WorkerBalance: 1}},
+		{"balanced-pool", 0, []int{2, 2, 2, 2}, SearchEfficiency{Evaluations: 8, HitRate: 0, WorkerBalance: 1}},
+		{"skewed-pool", 0, []int{4, 0, 0, 0}, SearchEfficiency{Evaluations: 4, HitRate: 0, WorkerBalance: 0.25}},
+		{"all-hits", 7, []int{0}, SearchEfficiency{Evaluations: 0, HitRate: 1, WorkerBalance: 0}},
 	}
 	for _, c := range cases {
-		got := ComputeSearchEfficiency(c.hits, c.misses, c.evals)
+		got := ComputeSearchEfficiency(c.hits, c.evals)
 		if got.Evaluations != c.want.Evaluations || !almost(got.HitRate, c.want.HitRate) || !almost(got.WorkerBalance, c.want.WorkerBalance) {
 			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
 		}

@@ -61,8 +61,8 @@ func checkRouteLambda(t *testing.T, ctx string, s *State, u, v int) {
 
 // TestLambdaIndexMatchesOccupancy is the randomized property test for the
 // wavelength-availability index: arbitrary interleavings of every mutation
-// path — circuit provisioning, circuit release, delta provisioning, delta
-// revert, and full resets — must leave the free-word summaries exactly
+// path — circuit provisioning, circuit release, whole-topology provisioning,
+// and full resets — must leave the free-word summaries exactly
 // consistent with a from-scratch scan of the occupancy sets, and the cached
 // route intersections exactly equal to the bit-by-bit reference. Networks
 // with a removed fiber (the WithoutFiber failure shape, which leaves a nil
@@ -72,7 +72,17 @@ func TestLambdaIndexMatchesOccupancy(t *testing.T) {
 	if testing.Short() {
 		steps = 40
 	}
-	for ni, net := range deltaTestNets() {
+	regenStarved := topology.ISP(16, 8, 3)
+	regenStarved.PlaceRegenerators(2)
+	testNets := []*topology.Network{
+		topology.Internet2(6),
+		topology.ISP(12, 6, 1),
+		topology.ISP(20, 8, 2),
+		topology.ISP(40, 10, 1),
+		regenStarved,
+		topology.Square(), // 4 wavelengths per fiber: always tight
+	}
+	for ni, net := range testNets {
 		nets := []*topology.Network{net}
 		if len(net.Fibers) > 4 {
 			// Reduced variant: drop one mid-list fiber, as a fiber failure
@@ -113,28 +123,12 @@ func TestLambdaIndexMatchesOccupancy(t *testing.T) {
 				checkRouteLambda(t, ctx(step), s, rng.Intn(ns), rng.Intn(ns))
 			}
 
-			// Phase 2: delta churn against a snapshot — applies and reverts
-			// interleave, with occasional re-baselining on the moved set.
-			base := topology.InitialTopology(n)
-			var snap Snapshot
-			s.BuildSnapshot(&snap, base)
-			checkLambdaIndex(t, "post-snapshot", s)
-			var j Journal
-			for step := 0; step < steps/2; step++ {
-				cand, removed, added, ok := randomSwapDelta(rng, base)
-				if !ok {
-					break
-				}
-				s.ProvisionDelta(&snap, removed, added, &j)
-				checkLambdaIndex(t, ctx(step)+" delta", s)
-				checkRouteLambda(t, ctx(step)+" delta", s, rng.Intn(ns), rng.Intn(ns))
-				if rng.Intn(3) == 0 {
-					base = cand
-					s.BuildSnapshot(&snap, base)
-				} else {
-					s.RevertDelta(&j)
-				}
-				checkLambdaIndex(t, ctx(step)+" revert", s)
+			// Phase 2: whole-topology provisioning, which resets and then
+			// provisions every circuit of a random topology.
+			for step := 0; step < steps/8; step++ {
+				s.ProvisionEffective(topology.RandomTopology(n, rng.Int63()))
+				checkLambdaIndex(t, ctx(step)+" topology", s)
+				checkRouteLambda(t, ctx(step)+" topology", s, rng.Intn(ns), rng.Intn(ns))
 			}
 
 			// Phase 3: a reset must restore the full capacity masks.

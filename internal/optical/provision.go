@@ -123,9 +123,9 @@ func (s *State) ProvisionEffectiveEnum(ls *topology.LinkSet) []topology.Link {
 // hold the (U, V)-sorted enumeration of the requested topology: it provisions
 // the same circuit sequence and appends the effective enumeration to effOut —
 // exactly what AppendLinks of ProvisionEffective's result would yield — with
-// no LinkSet walked on the way in or materialized on the way out. This is the
-// cold-fallback path of the annealing delta evaluator, which evaluates
-// candidates as merged enumerations without ever building them as LinkSets.
+// no LinkSet walked on the way in or materialized on the way out. The
+// annealing evaluator provisions its move-list candidates this way, as merged
+// enumerations that are never built as LinkSets.
 func (s *State) ProvisionEffectiveLinks(links []topology.Link, effOut []topology.Link) []topology.Link {
 	s.Reset()
 	for _, l := range links {

@@ -121,7 +121,7 @@ type State struct {
 	// is its empty-network image (the per-fiber capacity mask), immutable
 	// and shared by clones; free = fiberFree0 &^ fiberUse always. Both are
 	// maintained at the single wavelength mutation points claimWave/freeWave
-	// (plus the bulk images in Reset/LoadSnapshot), mirroring how setRegen
+	// (plus the bulk image in Reset), mirroring how setRegen
 	// maintains regenAvail/wRegen, so routeLambda intersects a handful of
 	// words instead of probing fiberUse bit by bit. waveEpoch counts
 	// wavelength-bit mutations; the per-pair segment cache in provScratch
@@ -186,9 +186,8 @@ type State struct {
 	// network — some hop sequence exists in which every hop is within
 	// optical reach and every interior site has a nonzero static regenerator
 	// pool. A pair failing this test fails in every provisioning order and
-	// under any occupancy, which the delta trust gate exploits: a statically
-	// infeasible circuit is an order-independent shortfall, not a resource
-	// signal.
+	// under any occupancy. No provisioning path consults it any more; see
+	// staticFeasible.
 	regenReach bitset.Set
 	// reachMask[u] packs row u of inReach into one word when the network has
 	// at most 64 sites (nil otherwise): the transit-graph adjacency as
@@ -471,10 +470,9 @@ func NewState(net *topology.Network) *State {
 // claimWave is the single incremental mutation point for occupying a
 // wavelength: it keeps the occupancy set and the free-word index in sync and
 // advances the availability epoch that invalidates the per-pair segment
-// cache. Every wavelength claim in the package — cold provisioning, snapshot
-// builds, delta applies and reverts — funnels through here or freeWave, so
-// fiberFree == fiberFree0 &^ fiberUse is a package invariant (asserted by
-// the randomized index property test).
+// cache. Every wavelength claim in the package funnels through here or
+// freeWave, so fiberFree == fiberFree0 &^ fiberUse is a package invariant
+// (asserted by the randomized index property test).
 func (s *State) claimWave(f, l int) {
 	s.fiberUse[f].set(l)
 	s.fiberFree[f].clear(l)
@@ -491,8 +489,7 @@ func (s *State) freeWave(f, l int) {
 
 // setRegen is the single incremental mutation point for a site's regenerator
 // pool: it keeps regenFree, the availability mask, and the weight cache in
-// sync. Bulk pool updates (Reset, LoadSnapshot) restore the caches from
-// precomputed or snapshotted images instead.
+// sync. Reset restores the caches from precomputed images instead.
 func (s *State) setRegen(v, n int) {
 	s.regenFree[v] = n
 	if n > 0 {

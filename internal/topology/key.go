@@ -45,8 +45,8 @@ func AppendKeyFromLinks(buf []byte, n int, links []Link) []byte {
 
 // KeyHash returns the 64-bit FNV-1a hash of a key produced by AppendKey /
 // AppendKeyFromLinks. Unlike the key it can collide, so exact lookups must
-// verify the full key bytes on a hash match (internal/core's energy cache
-// does).
+// verify the full key bytes on a hash match (internal/core's provision
+// cache does).
 func KeyHash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -72,8 +72,8 @@ func (ls *LinkSet) Hash() uint64 {
 // pair (Count 0 deletes the pair). Pairs absent from the patch keep their
 // base count. The output is byte-for-byte the enumeration AppendLinks would
 // produce for the patched multiset, so a retained base list plus a small
-// patch substitutes for re-enumerating (and re-sorting) a whole LinkSet —
-// the warm-load trick behind alloc.(*Allocator).ThroughputPatched.
+// patch substitutes for re-enumerating (and re-sorting) a whole LinkSet:
+// internal/core enumerates its move-list candidates this way.
 func MergePatch(dst []Link, base []Link, patch []Link) []Link {
 	i, j := 0, 0
 	for i < len(base) && j < len(patch) {

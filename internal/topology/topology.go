@@ -195,7 +195,7 @@ func (ls *LinkSet) Degree(v int) int {
 // neighbors clone and then apply a few Adds, so the clone's enumerations
 // stay sort-free.
 func (ls *LinkSet) Clone() *LinkSet {
-	c := NewLinkSet(ls.N)
+	c := &LinkSet{N: ls.N, Count: make(map[[2]int]int, len(ls.Count))}
 	for k, v := range ls.Count {
 		c.Count[k] = v
 	}
@@ -204,20 +204,6 @@ func (ls *LinkSet) Clone() *LinkSet {
 		c.viewOK = true
 	}
 	return c
-}
-
-// CopyFrom makes ls an exact copy of src, reusing ls's map and view
-// storage: the allocation-free Clone behind the core package's candidate
-// recycling pool. The sorted-view state carries over exactly, so a recycled
-// copy enumerates byte-identically to a fresh Clone.
-func (ls *LinkSet) CopyFrom(src *LinkSet) {
-	ls.N = src.N
-	clear(ls.Count)
-	for k, v := range src.Count {
-		ls.Count[k] = v
-	}
-	ls.view = append(ls.view[:0], src.view...)
-	ls.viewOK = src.viewOK
 }
 
 // Link is one aggregated network-layer adjacency with its circuit count.
